@@ -32,8 +32,7 @@ use hdc::kernels;
 use hdc::BinaryHypervector;
 use imaging::DynamicImage;
 use seghdc::{
-    DistanceMetric, HvKmeans, PixelEncoder, SegEngine, SegHdc, SegHdcConfig, SegmentRequest,
-    SimdCpuBackend,
+    DistanceMetric, HvKmeans, PixelEncoder, SegEngine, SegHdcConfig, SegmentRequest, SimdCpuBackend,
 };
 use std::hint::black_box;
 use synthdata::{DatasetProfile, NucleiImageGenerator};
@@ -60,9 +59,7 @@ fn config() -> SegHdcConfig {
 }
 
 fn build_encoder(image: &DynamicImage) -> PixelEncoder {
-    SegHdc::new(config())
-        .expect("config is valid")
-        .build_encoder(image.width(), image.height(), image.channels())
+    PixelEncoder::for_config(&config(), image.width(), image.height(), image.channels())
         .expect("encoder builds")
 }
 

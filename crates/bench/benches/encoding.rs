@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imaging::DynamicImage;
-use seghdc::{PositionEncoding, SegHdc, SegHdcConfig};
+use seghdc::{PixelEncoder, PositionEncoding, SegHdcConfig};
 use std::hint::black_box;
 use synthdata::{DatasetProfile, NucleiImageGenerator};
 
@@ -28,17 +28,19 @@ fn config(dimension: usize, encoding: PositionEncoding) -> SegHdcConfig {
         .expect("parameters are valid")
 }
 
+fn build_encoder(config: &SegHdcConfig, image: &DynamicImage) -> PixelEncoder {
+    PixelEncoder::for_config(config, image.width(), image.height(), image.channels())
+        .expect("encoder builds")
+}
+
 fn bench_encode_by_dimension(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode_matrix_by_dimension");
     group.sample_size(10);
     let image = sample_image(64, 64);
     for &dim in &[200usize, 400, 800] {
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |bencher, &dim| {
-            let pipeline = SegHdc::new(config(dim, PositionEncoding::BlockDecayManhattan))
-                .expect("config is valid");
-            let encoder = pipeline
-                .build_encoder(image.width(), image.height(), image.channels())
-                .expect("encoder builds");
+            let encoder =
+                build_encoder(&config(dim, PositionEncoding::BlockDecayManhattan), &image);
             bencher.iter(|| black_box(encoder.encode_matrix(&image).unwrap()))
         });
     }
@@ -57,10 +59,7 @@ fn bench_encode_by_variant(c: &mut Criterion) {
     ];
     for (name, variant) in variants {
         group.bench_function(name, |bencher| {
-            let pipeline = SegHdc::new(config(800, variant)).expect("config is valid");
-            let encoder = pipeline
-                .build_encoder(image.width(), image.height(), image.channels())
-                .expect("encoder builds");
+            let encoder = build_encoder(&config(800, variant), &image);
             bencher.iter(|| black_box(encoder.encode_matrix(&image).unwrap()))
         });
     }
@@ -73,15 +72,8 @@ fn bench_codebook_construction(c: &mut Criterion) {
     let image = sample_image(64, 64);
     for &dim in &[800usize, 2000] {
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |bencher, &dim| {
-            let pipeline = SegHdc::new(config(dim, PositionEncoding::BlockDecayManhattan))
-                .expect("config is valid");
-            bencher.iter(|| {
-                black_box(
-                    pipeline
-                        .build_encoder(image.width(), image.height(), image.channels())
-                        .unwrap(),
-                )
-            })
+            let config = config(dim, PositionEncoding::BlockDecayManhattan);
+            bencher.iter(|| black_box(build_encoder(&config, &image)))
         });
     }
     group.finish();

@@ -40,7 +40,6 @@ use rayon::prelude::*;
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HvMatrix {
     rows: usize,
     dim: usize,

@@ -1,9 +1,8 @@
 //! The long-lived segmentation engine: one unified planner over every
 //! execution path.
 //!
-//! [`SegEngine`] replaces the five historical `SegHdc` entry points
-//! (`segment`, `segment_batch`, `segment_streaming`,
-//! `segment_streaming_in`, `segment_streaming_batch`) with one flow:
+//! [`SegEngine`] is the one way to segment: single images, batches, views,
+//! whole-image and streaming tiled execution all go through one flow:
 //!
 //! ```text
 //! SegmentRequest ──► SegEngine::plan ──► SegEngine::run ──► SegmentReport
@@ -13,13 +12,13 @@
 //!
 //! * an [`ExecBackend`] — the per-tile "encode region + cluster matrix"
 //!   unit every path executes through ([`SimdCpuBackend::auto`] by
-//!   default, which picks SIMD word kernels when the CPU supports them; a
-//!   scalar-pinned [`crate::CpuBackend`] or a device backend via
+//!   default, which picks SIMD word kernels when the CPU supports them;
+//!   [`SimdCpuBackend::scalar`] or a device backend via
 //!   [`SegEngineBuilder::backend`]);
 //! * a persistent [`CodebookCache`] — codebooks are keyed on
 //!   `(seed, shape, dimension, encodings)` and reused across calls and
 //!   threads, so a warm request skips the dominant fixed cost;
-//! * a pool of [`TileArena`] scratch buffers, reused across requests and
+//! * a pool of tile-arena scratch buffers, reused across requests and
 //!   workers, whose byte high-water mark is reported on every
 //!   [`SegmentReport`].
 //!
@@ -59,7 +58,7 @@
 use crate::cache::{CacheStats, CodebookCache, CodebookKey};
 use crate::observe::RunObserver;
 use crate::sync::lock_unpoisoned;
-use crate::tiled::{self, StreamingSegmentation, TileArena, TileConfig};
+use crate::tiled::{self, TileArena, TileConfig};
 use crate::{
     ExecBackend, HvKmeans, PixelEncoder, Result, SegHdcConfig, SegHdcError, SimdCpuBackend,
 };
@@ -394,9 +393,8 @@ impl SegEngineBuilder {
     ///
     /// The default is [`SimdCpuBackend::auto`], which picks the best word
     /// kernels for the running CPU (SIMD when supported, scalar otherwise).
-    /// Install [`SimdCpuBackend::scalar`] (or the reference
-    /// [`crate::CpuBackend`]) to force the scalar kernels; labels are
-    /// byte-identical either way.
+    /// Install [`SimdCpuBackend::scalar`] to force the scalar kernels;
+    /// labels are byte-identical either way.
     pub fn backend(mut self, backend: Box<dyn ExecBackend>) -> Self {
         self.backend = Some(backend);
         self
@@ -612,38 +610,6 @@ impl SegEngine {
         })
     }
 
-    /// Streaming tiled execution into a **caller-owned** arena — the
-    /// escape hatch for services that manage their own scratch memory (and
-    /// the implementation of the deprecated
-    /// [`crate::SegHdc::segment_streaming_in`]). The codebooks still come
-    /// from the engine cache and every tile executes through the engine
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the tile geometry is invalid for the view shape
-    /// or if encoding/clustering fails.
-    pub fn run_tiled_in(
-        &self,
-        view: &ImageView<'_>,
-        tiles: &TileConfig,
-        arena: &mut TileArena,
-    ) -> Result<StreamingSegmentation> {
-        let encoder = self.encoder_for(view.width(), view.height(), view.channels())?;
-        let result = tiled::segment_streaming_with(
-            &self.config,
-            &encoder,
-            view,
-            tiles,
-            arena,
-            self.backend.as_ref(),
-            RunObserver::new().for_image(0),
-        );
-        self.peak_matrix_bytes
-            .fetch_max(arena.peak_matrix_bytes(), Ordering::Relaxed);
-        result
-    }
-
     /// Current engine-lifetime telemetry.
     pub fn telemetry(&self) -> EngineTelemetry {
         let stats = self.cache.stats();
@@ -683,8 +649,9 @@ impl SegEngine {
     ) -> Result<Arc<PixelEncoder>> {
         let key = CodebookKey::for_shape(&self.config, width, height, channels);
         let config = &self.config;
-        self.cache
-            .get_or_build(key, || build_encoder(config, width, height, channels))
+        self.cache.get_or_build(key, || {
+            PixelEncoder::for_config(config, width, height, channels)
+        })
     }
 
     /// Executes one image according to its plan decision.
@@ -846,37 +813,6 @@ impl SegEngine {
     }
 }
 
-/// Builds the pixel encoder (position + colour codebooks) for `config` at
-/// one image shape — the single codebook-construction path every engine
-/// lookup funnels through.
-pub(crate) fn build_encoder(
-    config: &SegHdcConfig,
-    width: usize,
-    height: usize,
-    channels: usize,
-) -> Result<PixelEncoder> {
-    let root = hdc::HdcRng::seed_from(config.seed);
-    let mut position_rng = root.derive(1);
-    let mut color_rng = root.derive(2);
-    let position = crate::PositionEncoder::new(
-        config.position_encoding,
-        config.dimension,
-        height,
-        width,
-        config.alpha,
-        config.beta,
-        &mut position_rng,
-    )?;
-    let color = crate::ColorEncoder::new(
-        config.color_encoding,
-        config.dimension,
-        channels,
-        config.gamma,
-        &mut color_rng,
-    )?;
-    PixelEncoder::new(position, color)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,6 +837,114 @@ mod tests {
             .unwrap()
     }
 
+    /// A bright square on a dark background plus its ground truth. Both
+    /// regions carry intensity variation so that the colour codebooks are
+    /// exercised over many distinct values (as in real microscopy images),
+    /// which is what makes the RColor ablation collapse.
+    fn jittered_square(size: usize) -> (DynamicImage, LabelMap) {
+        let mut img = GrayImage::new(size, size).unwrap();
+        let mut truth = LabelMap::new(size, size).unwrap();
+        let inside = size / 4..3 * size / 4;
+        for y in 0..size {
+            for x in 0..size {
+                let jitter = ((x * 7 + y * 3) % 30) as u8;
+                if inside.contains(&x) && inside.contains(&y) {
+                    img.set(x, y, 200 + jitter).unwrap();
+                    truth.set(x, y, 1).unwrap();
+                } else {
+                    img.set(x, y, 15 + jitter).unwrap();
+                }
+            }
+        }
+        (DynamicImage::Gray(img), truth)
+    }
+
+    fn iou_of(config: SegHdcConfig, image: &DynamicImage, truth: &LabelMap) -> f64 {
+        let report = SegEngine::new(config)
+            .unwrap()
+            .run(&SegmentRequest::image(image).whole_image())
+            .unwrap();
+        imaging::metrics::matched_binary_iou(&report.single().label_map, truth).unwrap()
+    }
+
+    #[test]
+    fn whole_image_runs_segment_a_jittered_square_accurately() {
+        let (image, truth) = jittered_square(32);
+        let config = SegHdcConfig {
+            dimension: 1024,
+            ..fast_config()
+        };
+        let report = SegEngine::new(config.clone())
+            .unwrap()
+            .run(&SegmentRequest::image(&image).whole_image())
+            .unwrap();
+        let output = report.single();
+        let iou = imaging::metrics::matched_binary_iou(&output.label_map, &truth).unwrap();
+        assert!(iou > 0.9, "IoU {iou}");
+        assert_eq!(output.iterations_run, 3);
+        assert_eq!(output.cluster_sizes.iter().sum::<usize>(), 32 * 32);
+        assert!(output.total_time() >= output.encode_time);
+
+        let (gray, truth) = jittered_square(24);
+        let rgb = DynamicImage::Rgb(gray.to_rgb());
+        let iou = iou_of(config, &rgb, &truth);
+        assert!(iou > 0.85, "RGB IoU {iou}");
+    }
+
+    #[test]
+    fn position_and_color_ablations_degrade_quality() {
+        // Table I, RPos and RColor columns: random position hypervectors
+        // swamp the colour signal, random colour hypervectors lose the
+        // intensity order, and either way the segmentation collapses.
+        let (image, truth) = jittered_square(32);
+        let config = SegHdcConfig {
+            dimension: 1024,
+            ..fast_config()
+        };
+        let good = iou_of(config.clone(), &image, &truth);
+        let rpos = iou_of(
+            SegHdcConfig {
+                position_encoding: crate::PositionEncoding::Random,
+                ..config.clone()
+            },
+            &image,
+            &truth,
+        );
+        let rcolor = iou_of(
+            SegHdcConfig {
+                color_encoding: crate::ColorEncoding::Random,
+                ..config
+            },
+            &image,
+            &truth,
+        );
+        assert!(good > rpos + 0.2, "SegHDC {good} vs RPos {rpos}");
+        assert!(good > rcolor + 0.2, "SegHDC {good} vs RColor {rcolor}");
+    }
+
+    #[test]
+    fn snapshots_are_recorded_when_requested() {
+        let (image, _) = jittered_square(16);
+        let config = SegHdcConfig::builder()
+            .dimension(512)
+            .iterations(4)
+            .beta(2)
+            .record_snapshots(true)
+            .build()
+            .unwrap();
+        let request = SegmentRequest::image(&image).whole_image();
+        let report = SegEngine::new(config).unwrap().run(&request).unwrap();
+        let output = report.single();
+        assert_eq!(output.snapshots.len(), 4);
+        assert_eq!(output.snapshots.last().unwrap(), &output.label_map);
+        // Without the flag no snapshots are kept.
+        let report = SegEngine::new(fast_config())
+            .unwrap()
+            .run(&request)
+            .unwrap();
+        assert!(report.single().snapshots.is_empty());
+    }
+
     #[test]
     fn builder_validates_the_configuration() {
         let bad = SegHdcConfig {
@@ -912,12 +956,12 @@ mod tests {
         assert_eq!(engine.backend_name(), "simd-cpu");
         assert!(hdc::kernels::KNOWN_ISAS.contains(&engine.kernel_isa()));
         assert_eq!(engine.config().dimension, 512);
-        // The reference backend stays installable.
+        // The scalar reference backend stays installable.
         let reference = SegEngine::builder(fast_config())
-            .backend(Box::new(crate::CpuBackend))
+            .backend(Box::new(SimdCpuBackend::scalar()))
             .build()
             .unwrap();
-        assert_eq!(reference.backend_name(), "cpu");
+        assert_eq!(reference.backend_name(), "simd-cpu");
         assert_eq!(reference.kernel_isa(), "scalar");
     }
 
@@ -988,29 +1032,42 @@ mod tests {
 
     #[test]
     fn whole_and_tiled_runs_agree_on_the_partition() {
-        let image = square_image(32);
-        let engine = SegEngine::new(fast_config()).unwrap();
+        let (image, truth) = jittered_square(32);
+        let engine = SegEngine::new(SegHdcConfig {
+            dimension: 1024,
+            ..fast_config()
+        })
+        .unwrap();
         let whole = engine
             .run(&SegmentRequest::image(&image).whole_image())
             .unwrap();
-        let tiles = TileConfig::square(16, 4).unwrap();
-        let tiled = engine
-            .run(&SegmentRequest::image(&image).tiled(tiles))
-            .unwrap();
         assert!(matches!(whole.single().mode, ExecutedMode::WholeImage));
-        assert!(matches!(
-            tiled.single().mode,
-            ExecutedMode::Tiled {
-                tiles_x: 2,
-                tiles_y: 2,
-                ..
+        // Square tiles with and without a halo, and non-square tiles.
+        for (tiles, grid) in [
+            (TileConfig::square(16, 4).unwrap(), (2, 2)),
+            (TileConfig::square(16, 0).unwrap(), (2, 2)),
+            (TileConfig::new(12, 20, 3).unwrap(), (3, 2)),
+        ] {
+            let tiled = engine
+                .run(&SegmentRequest::image(&image).tiled(tiles))
+                .unwrap();
+            let output = tiled.single();
+            match output.mode {
+                ExecutedMode::Tiled {
+                    tiles_x, tiles_y, ..
+                } => assert_eq!((tiles_x, tiles_y), grid, "{tiles:?}"),
+                ExecutedMode::WholeImage => panic!("{tiles:?} ran whole-image"),
             }
-        ));
-        assert!(tiled
-            .single()
-            .label_map
-            .is_permutation_of(&whole.single().label_map));
-        assert_eq!(tiled.single().cluster_sizes.iter().sum::<usize>(), 32 * 32);
+            assert!(
+                output
+                    .label_map
+                    .is_permutation_of(&whole.single().label_map),
+                "partition mismatch with {tiles:?}"
+            );
+            assert_eq!(output.cluster_sizes.iter().sum::<usize>(), 32 * 32);
+            let iou = imaging::metrics::matched_binary_iou(&output.label_map, &truth).unwrap();
+            assert!(iou > 0.9, "IoU {iou} with {tiles:?}");
+        }
     }
 
     #[test]
@@ -1028,12 +1085,14 @@ mod tests {
             batch.outputs[0].label_map.as_raw(),
             single.single().label_map.as_raw()
         );
-        let both = [a, b];
+        // A second shape, and the first shape again as RGB: three codebooks.
+        let rgb = DynamicImage::Rgb(a.to_rgb());
+        let mixed = [a, b, rgb];
         let batch = engine
-            .run(&SegmentRequest::batch(&both).whole_image())
+            .run(&SegmentRequest::batch(&mixed).whole_image())
             .unwrap();
-        assert_eq!(batch.outputs.len(), 2);
-        for (image, output) in both.iter().zip(&batch.outputs) {
+        assert_eq!(batch.outputs.len(), 3);
+        for (image, output) in mixed.iter().zip(&batch.outputs) {
             let single = engine
                 .run(&SegmentRequest::image(image).whole_image())
                 .unwrap();
@@ -1261,7 +1320,14 @@ mod tests {
             .run(&SegmentRequest::view(view).tiled(tiles))
             .unwrap();
         assert_eq!(tiled.single().label_map.width(), 24);
-        assert!(matches!(tiled.single().mode, ExecutedMode::Tiled { .. }));
+        assert_eq!(tiled.single().label_map.height(), 20);
+        // The cropped region still contains both the square and background.
+        match tiled.single().mode {
+            ExecutedMode::Tiled {
+                stitched_labels, ..
+            } => assert!(stitched_labels >= 2, "{stitched_labels} labels"),
+            ExecutedMode::WholeImage => panic!("a tiled request must execute tiled"),
+        }
     }
 
     #[test]

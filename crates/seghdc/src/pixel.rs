@@ -1,4 +1,4 @@
-use crate::{ColorEncoder, PositionEncoder, Result, SegHdcError};
+use crate::{ColorEncoder, PositionEncoder, Result, SegHdcConfig, SegHdcError};
 use hdc::kernels::{self, Kernels};
 use hdc::{BinaryHypervector, HvMatrix};
 use imaging::{DynamicImage, ImageView, TileRect};
@@ -53,6 +53,42 @@ impl PixelEncoder {
             });
         }
         Ok(Self { position, color })
+    }
+
+    /// Builds the encoder (position + colour codebooks) that `config`
+    /// derives for one image shape: the single codebook-construction path
+    /// every [`crate::SegEngine`] cache lookup funnels through, exposed so
+    /// benchmarks and tests can drive the encoding stage on its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns a configuration error if the shape is degenerate.
+    pub fn for_config(
+        config: &SegHdcConfig,
+        width: usize,
+        height: usize,
+        channels: usize,
+    ) -> Result<Self> {
+        let root = hdc::HdcRng::seed_from(config.seed);
+        let mut position_rng = root.derive(1);
+        let mut color_rng = root.derive(2);
+        let position = PositionEncoder::new(
+            config.position_encoding,
+            config.dimension,
+            height,
+            width,
+            config.alpha,
+            config.beta,
+            &mut position_rng,
+        )?;
+        let color = ColorEncoder::new(
+            config.color_encoding,
+            config.dimension,
+            channels,
+            config.gamma,
+            &mut color_rng,
+        )?;
+        Self::new(position, color)
     }
 
     /// The shared hypervector dimensionality.

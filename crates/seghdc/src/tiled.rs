@@ -1,9 +1,9 @@
 //! Streaming tiled segmentation: encode and cluster one halo-padded tile at
-//! a time inside a bounded, reusable [`TileArena`], then stitch the per-tile
+//! a time inside a bounded, reusable scratch arena, then stitch the per-tile
 //! cluster labels into one globally consistent
 //! [`imaging::LabelMap`].
 //!
-//! A whole-image [`crate::SegHdc::segment`] run materialises one packed
+//! A whole-image [`crate::SegEngine::run`] materialises one packed
 //! hypervector row per pixel — a 512×512 scan at `d = 4096` needs ~128 MB of
 //! transient matrix, which rules out exactly the edge devices the SegHDC
 //! paper targets. Streaming mode bounds that transient to roughly **one
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 /// this are considered tied, and the halo-overlap majority vote decides.
 const STITCH_TIE_EPSILON: f64 = 0.01;
 
-/// Tile geometry parameters for [`crate::SegHdc::segment_streaming`].
+/// Tile geometry of a streaming tiled run ([`crate::ExecutionMode::Tiled`]).
 ///
 /// # Example
 ///
@@ -129,7 +129,7 @@ impl TileConfig {
 /// image of any size must never allocate more matrix bytes than roughly one
 /// halo-padded tile.
 #[derive(Debug)]
-pub struct TileArena {
+pub(crate) struct TileArena {
     pub(crate) matrix: HvMatrix,
     pub(crate) intensities: Vec<u8>,
     pub(crate) bundles: Vec<Accumulator>,
@@ -139,7 +139,7 @@ pub struct TileArena {
 impl TileArena {
     /// Creates an empty arena; buffers are grown on first use and reused
     /// afterwards.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             matrix: HvMatrix::zeros(0, 1).expect("dimension 1 is valid"),
             intensities: Vec::new(),
@@ -151,7 +151,7 @@ impl TileArena {
     /// High-water mark, in bytes, of the arena's matrix allocation over its
     /// whole lifetime (across every tile and every segmentation run that
     /// used this arena).
-    pub fn peak_matrix_bytes(&self) -> usize {
+    pub(crate) fn peak_matrix_bytes(&self) -> usize {
         self.peak_matrix_bytes
     }
 
@@ -169,7 +169,7 @@ impl TileArena {
     /// # Errors
     ///
     /// Returns an error if `dim` is zero.
-    pub fn prepare(&mut self, rows: usize, dim: usize) -> Result<()> {
+    pub(crate) fn prepare(&mut self, rows: usize, dim: usize) -> Result<()> {
         self.matrix.reset(rows, dim)?;
         self.peak_matrix_bytes = self.peak_matrix_bytes.max(self.matrix.capacity_bytes());
         self.intensities.clear();
@@ -199,40 +199,24 @@ impl Default for TileArena {
 
 /// Result of a streaming tiled segmentation run.
 #[derive(Debug, Clone)]
-pub struct StreamingSegmentation {
+pub(crate) struct StreamingSegmentation {
     /// Final stitched per-pixel labels, globally consistent across tiles.
     /// Labels are provisional tile-cluster ids compacted per stitched
     /// group; for a single-tile run they equal the raw cluster indices, so
-    /// the output is byte-identical to [`crate::SegHdc::segment`].
-    pub label_map: LabelMap,
+    /// the output is byte-identical to a whole-image run.
+    pub(crate) label_map: LabelMap,
     /// Number of tile columns in the processed grid.
-    pub tiles_x: usize,
+    pub(crate) tiles_x: usize,
     /// Number of tile rows in the processed grid.
-    pub tiles_y: usize,
+    pub(crate) tiles_y: usize,
     /// Number of distinct stitched label groups in the output map.
-    pub stitched_labels: usize,
-    /// High-water mark of the arena's matrix allocation during this run —
-    /// the streaming memory guarantee, measured (≈ one halo-padded tile,
-    /// not one image).
-    pub peak_matrix_bytes: usize,
+    pub(crate) stitched_labels: usize,
     /// Wall-clock time spent encoding tile regions.
-    pub encode_time: Duration,
+    pub(crate) encode_time: Duration,
     /// Wall-clock time spent clustering tiles.
-    pub cluster_time: Duration,
+    pub(crate) cluster_time: Duration,
     /// Wall-clock time spent matching centroids and relabelling.
-    pub stitch_time: Duration,
-}
-
-impl StreamingSegmentation {
-    /// Total number of tiles processed.
-    pub fn tile_count(&self) -> usize {
-        self.tiles_x * self.tiles_y
-    }
-
-    /// Total wall-clock time (encode + cluster + stitch).
-    pub fn total_time(&self) -> Duration {
-        self.encode_time + self.cluster_time + self.stitch_time
-    }
+    pub(crate) stitch_time: Duration,
 }
 
 /// Union-find over provisional tile-cluster ids, with path halving.
@@ -486,7 +470,6 @@ pub(crate) fn segment_streaming_with(
         tiles_x: grid.tiles_x(),
         tiles_y: grid.tiles_y(),
         stitched_labels,
-        peak_matrix_bytes: arena.peak_matrix_bytes(),
         encode_time,
         cluster_time,
         stitch_time,

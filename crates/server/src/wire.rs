@@ -213,8 +213,10 @@ pub fn read_frame(stream: &mut impl Read, max_bytes: usize) -> WireResult<Option
 /// # Errors
 ///
 /// Same typed failures as [`read_frame`]; the frame cap is still enforced
-/// from the length prefix *before* the buffer is grown, so a hostile
-/// length cannot force a huge allocation.
+/// from the length prefix *before* the buffer is grown, and the buffer then
+/// grows only as payload bytes arrive, so a hostile length cannot force a
+/// huge allocation. A stream that ends inside the payload is
+/// [`WireError::Truncated`].
 pub fn read_frame_into(
     stream: &mut impl Read,
     max_bytes: usize,
@@ -244,8 +246,14 @@ pub fn read_frame_into(
             max: max_bytes,
         });
     }
-    payload.resize(len, 0);
-    stream.read_exact(payload)?;
+    // Grow with the bytes actually received, never from the prefix alone:
+    // a client that sends only a header must not pin `len` bytes.
+    let received = Read::take(&mut *stream, len as u64).read_to_end(payload)?;
+    if received < len {
+        return Err(WireError::Truncated {
+            field: "frame payload",
+        });
+    }
     let mut check_bytes = [0u8; 8];
     stream.read_exact(&mut check_bytes)?;
     let expected = checksum(&[&[kind], &len_bytes, payload]);
@@ -491,6 +499,30 @@ mod tests {
         let err = read_frame_into(&mut Cursor::new(stream), 1024, &mut payload).unwrap_err();
         assert!(matches!(err, WireError::FrameTooLarge { max: 1024, .. }));
         assert_eq!(payload.capacity(), 0, "the cap must gate the allocation");
+    }
+
+    #[test]
+    fn a_header_alone_does_not_allocate_the_claimed_payload() {
+        // A within-cap header claiming 32 MiB, then 16 bytes and EOF.
+        let claimed = 32usize << 20;
+        let mut stream = Vec::new();
+        stream.extend_from_slice(&MAGIC);
+        stream.push(FRAME_REQUEST);
+        stream.extend_from_slice(&(claimed as u32).to_le_bytes());
+        stream.extend_from_slice(&[5u8; 16]);
+        let mut payload = Vec::new();
+        let err = read_frame_into(
+            &mut Cursor::new(stream),
+            DEFAULT_MAX_FRAME_BYTES,
+            &mut payload,
+        )
+        .unwrap_err();
+        assert!(matches!(err, WireError::Truncated { .. }), "got {err:?}");
+        assert!(
+            payload.capacity() < claimed / 1024,
+            "16 received bytes grew the buffer to {} bytes",
+            payload.capacity()
+        );
     }
 
     #[test]

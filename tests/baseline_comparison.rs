@@ -1,13 +1,17 @@
 //! Integration tests comparing SegHDC with the CNN baseline across crates —
 //! the qualitative claims of Table I and Table II at test scale.
 
-// These tests run through the deprecated `SegHdc` wrappers on purpose:
-// since the engine redesign they double as the regression suite proving the
-// legacy entry points still delegate to `SegEngine` without observable
-// change (see `tests/engine_equivalence.rs` for the direct comparison).
-#![allow(deprecated)]
-
 use seghdc_suite::prelude::*;
+
+fn seghdc_labels(config: SegHdcConfig, image: &DynamicImage) -> LabelMap {
+    SegEngine::new(config)
+        .unwrap()
+        .run(&SegmentRequest::image(image))
+        .unwrap()
+        .outputs
+        .remove(0)
+        .label_map
+}
 
 #[test]
 fn seghdc_matches_or_beats_the_scaled_baseline_on_an_easy_profile() {
@@ -33,11 +37,8 @@ fn seghdc_matches_or_beats_the_scaled_baseline_on_an_easy_profile() {
         .iterations(4)
         .build()
         .unwrap();
-    let seghdc = SegHdc::new(seghdc_config)
-        .unwrap()
-        .segment(&sample.image)
-        .unwrap();
-    let seghdc_iou = metrics::matched_binary_iou(&seghdc.label_map, &truth).unwrap();
+    let seghdc = seghdc_labels(seghdc_config, &sample.image);
+    let seghdc_iou = metrics::matched_binary_iou(&seghdc, &truth).unwrap();
 
     assert!(
         seghdc_iou + 0.05 >= baseline_iou,
@@ -62,10 +63,7 @@ fn seghdc_is_much_faster_than_the_baseline_at_equal_image_size() {
         .iterations(3)
         .build()
         .unwrap();
-    SegHdc::new(seghdc_config)
-        .unwrap()
-        .segment(&sample.image)
-        .unwrap();
+    seghdc_labels(seghdc_config, &sample.image);
     let seghdc_time = start.elapsed();
 
     let start = std::time::Instant::now();
