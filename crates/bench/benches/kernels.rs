@@ -1,37 +1,37 @@
-//! Per-ISA benchmarks of the unified word-kernel layer.
+//! Per-ISA benchmarks of the word-kernel layer and the engine above it.
 //!
 //! Measures the raw `hdc::kernels` operations the pipeline's hot loops
 //! dispatch through (popcount-fused Hamming, bit-sliced plane dots,
-//! vertical-counter carry adds, XOR binds), the K-Means assignment step
-//! in both shapes — the pre-fusion per-centroid path (one virtual
-//! `and_popcount` per plane per centroid, K row popcounts per pixel;
-//! the PR 4 loop) against the fused `BitSlicedGroup` path
-//! (`plane_dot_multi`, one row load and one popcount per pixel) — and
-//! the composed
-//! `cluster_matrix_with` iteration, for **every** kernel ISA the host
-//! supports (`hdc::kernels::available()`), not just scalar-versus-auto.
+//! vertical-counter carry adds, XOR binds), the composed
+//! `cluster_matrix_with` K-Means run (its assignment step is the shipped
+//! fused `BitSlicedGroup` path), and one warm-cache `SegEngine::run`, for
+//! **every** kernel ISA the host supports (`hdc::kernels::available()`),
+//! not just scalar-versus-auto.
 //!
 //! Timing is a median over `SAMPLES` wall-clock runs after one warm-up
-//! (the vendored criterion stub exposes no sample data, so the bench
-//! times itself). Besides the human-readable report, every measurement
-//! is merged into `crates/bench/BENCH_kernels.json` (override the path
-//! with `SEGHDC_BENCH_JSON`) as `(op, isa, dim, k, ns_per_op)` records —
-//! the machine-readable perf trajectory referenced by
-//! `crates/bench/README.md` ("Kernel layer" section).
+//! (`bench_json::median_ns_per_op`). Besides the human-readable report,
+//! every measurement is merged into `crates/bench/BENCH_kernels.json`
+//! (override the path with `SEGHDC_BENCH_JSON`) as
+//! `(op, isa, dim, k, ns_per_op)` records — the machine-readable perf
+//! trajectory referenced by `crates/bench/README.md`. End-to-end latency,
+//! throughput and per-layer costs are measured by `segbench/` instead.
 
-use hdc::kernels::{self, Kernels};
-use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HdcRng, HvMatrix};
-use seghdc::{DistanceMetric, HvKmeans};
+use hdc::kernels;
+use hdc::{Accumulator, BinaryHypervector, HdcRng, HvMatrix};
+use imaging::DynamicImage;
+use seghdc::{DistanceMetric, HvKmeans, SegEngine, SegHdcConfig, SegmentRequest, SimdCpuBackend};
 use seghdc_bench::bench_json::{self, BenchRecord};
 use std::hint::black_box;
+use synthdata::{DatasetProfile, NucleiImageGenerator};
 
 const DIMENSION: usize = 16_384;
 const ROWS: usize = 2_000;
 const SAMPLES: usize = 10;
 
 /// The composed-stage workload: a 128x128 image's worth of rows at the
-/// paper's edge dimension, with the issue's K = 4 centroids.
-const IMAGE_ROWS: usize = 128 * 128;
+/// paper's edge dimension, with up to K = 4 centroids.
+const IMAGE_SIZE: usize = 128;
+const IMAGE_ROWS: usize = IMAGE_SIZE * IMAGE_SIZE;
 const IMAGE_DIMENSION: usize = 2_048;
 const CLUSTERS: usize = 4;
 
@@ -41,25 +41,6 @@ fn random_matrix(rows: usize, dim: usize, seed: u64) -> HvMatrix {
         .map(|_| BinaryHypervector::random(dim, &mut rng))
         .collect();
     HvMatrix::from_vectors(&vectors).expect("vectors share a dimension")
-}
-
-/// Bundled centroids in realistic mid-iteration K-Means state: centroid
-/// `c` bundles a disjoint `rows / clusters` share of the matrix rows, so
-/// its counts carry the 11+ bit planes that actual `cluster_matrix`
-/// centroids have once every pixel is assigned (thousands of members per
-/// cluster) — the plane depth both assignment paths scale with.
-fn sample_centroids(matrix: &HvMatrix, clusters: usize, kernels: &dyn Kernels) -> Vec<Accumulator> {
-    let share = matrix.rows() / clusters;
-    (0..clusters)
-        .map(|c| {
-            let mut acc = Accumulator::zeros(matrix.dim()).expect("dimension is non-zero");
-            for row in (c * share)..(c * share + share) {
-                acc.add_row_with(matrix.row(row), kernels)
-                    .expect("dims match");
-            }
-            acc
-        })
-        .collect()
 }
 
 struct Reporter {
@@ -147,131 +128,8 @@ fn bench_xor_into(report: &mut Reporter) {
     }
 }
 
-/// A centroid snapshot in the exact shape the PR 4 assignment loop
-/// consumed: separately-owned bit planes plus the cached norm.
-struct Pr4Centroid {
-    planes: Vec<Vec<u64>>,
-    norm: f64,
-}
-
-impl Pr4Centroid {
-    fn from_accumulator(acc: &Accumulator, k: &dyn Kernels) -> Self {
-        let counts = acc.counts();
-        let words_per_plane = acc.dim().div_ceil(64);
-        let mut planes = vec![vec![0u64; words_per_plane]; acc.plane_count()];
-        for (i, &count) in counts.iter().enumerate() {
-            for (p, plane) in planes.iter_mut().enumerate() {
-                plane[i / 64] |= u64::from((count >> p) & 1) << (i % 64);
-            }
-        }
-        Self {
-            planes,
-            norm: acc.norm_with(k),
-        }
-    }
-}
-
-/// The pre-fusion assignment loop, reproduced at PR 4 fidelity: the dot
-/// against each centroid is one virtual `and_popcount` call **per plane**
-/// (each with its own horizontal reduction), and every centroid
-/// re-popcounts the pixel row for the cosine denominator.
-fn assign_per_centroid(
-    matrix: &HvMatrix,
-    centroids: &[Pr4Centroid],
-    labels: &mut [u32],
-    k: &dyn Kernels,
-) {
-    for (row_idx, label) in labels.iter_mut().enumerate() {
-        let row = matrix.row(row_idx);
-        let row_words = row.as_words();
-        let mut best = 0usize;
-        let mut best_distance = f64::INFINITY;
-        for (c, centroid) in centroids.iter().enumerate() {
-            let mut dot = 0u64;
-            for (p, plane) in centroid.planes.iter().enumerate() {
-                dot += k.and_popcount(plane, row_words) << p;
-            }
-            let ones = k.popcount(row_words);
-            let similarity = if centroid.norm == 0.0 || ones == 0 {
-                0.0
-            } else {
-                dot as f64 / (centroid.norm * (ones as f64).sqrt())
-            };
-            let distance = 1.0 - similarity;
-            if distance < best_distance {
-                best_distance = distance;
-                best = c;
-            }
-        }
-        *label = best as u32;
-    }
-}
-
-/// The fused assignment loop: all K dots from one `plane_dot_multi`
-/// sweep, one row popcount, distances from the group's cached norms.
-fn assign_fused(matrix: &HvMatrix, group: &BitSlicedGroup, labels: &mut [u32], k: &dyn Kernels) {
-    let clusters = group.len();
-    let mut dots = vec![0u64; clusters];
-    for (row_idx, label) in labels.iter_mut().enumerate() {
-        let row = matrix.row(row_idx);
-        dots.fill(0);
-        group.dot_row_range_with(0..clusters, row, &mut dots, k);
-        let ones = k.popcount(row.as_words()) as usize;
-        let row_norm = (ones as f64).sqrt();
-        let mut best = 0usize;
-        let mut best_distance = f64::INFINITY;
-        for (c, &dot) in dots.iter().enumerate() {
-            let distance = group.cosine_distance_with_row_norm(c, dot, row_norm);
-            if distance < best_distance {
-                best_distance = distance;
-                best = c;
-            }
-        }
-        *label = best as u32;
-    }
-}
-
-/// Fused versus per-centroid cosine assignment over a full image's rows —
-/// the acceptance workload of the fusion issue (128x128, d = 2048, K = 4).
-fn bench_assignment(report: &mut Reporter) {
-    let matrix = random_matrix(IMAGE_ROWS, IMAGE_DIMENSION, 6);
-    for k in kernels::available() {
-        let centroids = sample_centroids(&matrix, CLUSTERS, k);
-        let pr4: Vec<Pr4Centroid> = centroids
-            .iter()
-            .map(|c| Pr4Centroid::from_accumulator(c, k))
-            .collect();
-        let group = BitSlicedGroup::from_accumulators(&centroids, k).expect("dims match");
-        let mut labels = vec![0u32; IMAGE_ROWS];
-
-        let ns = bench_json::median_ns_per_op(SAMPLES, IMAGE_ROWS as u64, || {
-            assign_per_centroid(&matrix, &pr4, &mut labels, k);
-            black_box(labels[0])
-        });
-        report.record(
-            "assign_per_centroid",
-            k.name(),
-            IMAGE_DIMENSION,
-            CLUSTERS,
-            ns,
-        );
-        let per_centroid_ns = ns;
-
-        let ns = bench_json::median_ns_per_op(SAMPLES, IMAGE_ROWS as u64, || {
-            assign_fused(&matrix, &group, &mut labels, k);
-            black_box(labels[0])
-        });
-        report.record("assign_fused", k.name(), IMAGE_DIMENSION, CLUSTERS, ns);
-        println!(
-            "  -> fused speedup on {}: {:.2}x",
-            k.name(),
-            per_centroid_ns / ns
-        );
-    }
-}
-
-/// The composed K-Means iteration (`cluster_matrix_with`, now running the
-/// fused assignment internally) on the same workload.
+/// The composed K-Means run (`cluster_matrix_with`, 3 iterations of the
+/// fused assignment and the bit-serial update) on the image-sized workload.
 fn bench_cluster_iteration(report: &mut Reporter) {
     let matrix = random_matrix(IMAGE_ROWS, IMAGE_DIMENSION, 6);
     let intensities: Vec<u8> = (0..matrix.rows()).map(|i| (i % 251) as u8).collect();
@@ -290,6 +148,51 @@ fn bench_cluster_iteration(report: &mut Reporter) {
     }
 }
 
+fn sample_image(width: usize, height: usize) -> DynamicImage {
+    let profile = DatasetProfile::dsb2018_like().scaled(width, height);
+    NucleiImageGenerator::new(profile, 3)
+        .expect("profile is valid")
+        .generate(0)
+        .expect("generation succeeds")
+        .image
+}
+
+fn engine_config() -> SegHdcConfig {
+    SegHdcConfig::builder()
+        .dimension(IMAGE_DIMENSION)
+        .beta(8)
+        .iterations(3)
+        .build()
+        .expect("parameters are valid")
+}
+
+/// One warm-cache whole-image engine request (128x128 dsb2018-like RGB,
+/// d = 2048, 3 iterations) per available kernel ISA, recorded as
+/// `engine_run`.
+fn bench_engine_run(report: &mut Reporter) {
+    let image = sample_image(IMAGE_SIZE, IMAGE_SIZE);
+    let clusters = engine_config().clusters;
+    for k in kernels::available() {
+        let engine = SegEngine::builder(engine_config())
+            .backend(Box::new(SimdCpuBackend::with_kernels(k)))
+            .build()
+            .expect("config is valid");
+        // Warm the codebook cache so the measurement isolates the
+        // encode + cluster kernels.
+        engine
+            .run(&SegmentRequest::image(&image).whole_image())
+            .expect("segmentation succeeds");
+        let ns = bench_json::median_ns_per_op(SAMPLES, 1, || {
+            black_box(
+                engine
+                    .run(&SegmentRequest::image(&image).whole_image())
+                    .unwrap(),
+            )
+        });
+        report.record("engine_run", k.name(), IMAGE_DIMENSION, clusters, ns);
+    }
+}
+
 fn main() {
     let mut report = Reporter {
         records: Vec::new(),
@@ -299,9 +202,9 @@ fn main() {
     bench_plane_dot(&mut report);
     bench_bundle_add(&mut report);
     bench_xor_into(&mut report);
-    bench_assignment(&mut report);
     bench_cluster_iteration(&mut report);
-    let path = bench_json::default_path();
+    bench_engine_run(&mut report);
+    let path = bench_json::path_for("BENCH_kernels.json");
     bench_json::merge_into_file(&path, &report.records).expect("bench JSON is writable");
     println!(
         "merged {} records into {}",

@@ -1,14 +1,15 @@
-//! Machine-readable benchmark records (`BENCH_kernels.json`).
+//! Machine-readable benchmark records (`BENCH_*.json`).
 //!
-//! The `kernels` and `batch_engine` benches append their measurements to
-//! one JSON file so the perf trajectory of the kernel layer is tracked in
-//! the repository rather than in scrollback. The format is deliberately
-//! rigid — a JSON array with exactly one record object per line:
+//! The `kernels` bench writes `BENCH_kernels.json` and the `server_load`
+//! binary writes `BENCH_server.json`, so the perf trajectory of the kernel
+//! layer and the service front-end is tracked in the repository rather
+//! than in scrollback. The format is deliberately rigid — a JSON array
+//! with exactly one record object per line:
 //!
 //! ```json
 //! [
 //! {"op":"hamming","isa":"avx2","dim":16384,"k":1,"ns_per_op":1234.5},
-//! {"op":"cluster_matrix_fused","isa":"avx512-vpopcnt","dim":2048,"k":4,"ns_per_op":9.0e6}
+//! {"op":"cluster_matrix","isa":"avx512-vpopcnt","dim":2048,"k":4,"ns_per_op":9.0e6}
 //! ]
 //! ```
 //!
@@ -16,16 +17,17 @@
 //! environment is offline): the writer emits exactly this shape and the
 //! parser accepts only it. Records are keyed by `(op, isa, dim, k)`;
 //! [`merge_into_file`] replaces same-key records and appends new ones, so
-//! the two bench binaries can update the same file without clobbering each
-//! other — and re-runs refresh numbers in place.
+//! several runs can update the same file without clobbering each other —
+//! and re-runs refresh numbers in place.
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// One benchmark measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Operation name (e.g. `hamming`, `cluster_matrix_fused`).
+    /// Operation name (e.g. `hamming`, `cluster_matrix`).
     pub op: String,
     /// Kernel ISA the measurement ran with (`scalar`, `avx2`, …).
     pub isa: String,
@@ -108,7 +110,7 @@ fn split_top_level_fields(body: &str) -> impl Iterator<Item = &str> {
     body.split(',').filter(|f| !f.trim().is_empty())
 }
 
-/// Parses a whole `BENCH_kernels.json` body; `None` when any non-bracket
+/// Parses a whole `BENCH_*.json` body; `None` when any non-bracket
 /// line is malformed (strictness keeps hand edits honest).
 pub fn parse_file(content: &str) -> Option<Vec<BenchRecord>> {
     let mut records = Vec::new();
@@ -141,17 +143,29 @@ pub fn render_file(records: &[BenchRecord]) -> String {
 }
 
 /// Merges `new_records` into the JSON file at `path`: same-key records are
-/// replaced, new keys appended, everything else preserved. A missing or
-/// unparsable file is treated as empty (a fresh file is written).
+/// replaced, new keys appended, everything else preserved. A missing file
+/// is treated as empty (a fresh file is written).
 ///
 /// # Errors
 ///
-/// Returns an IO error when the file cannot be written.
-pub fn merge_into_file(path: &Path, new_records: &[BenchRecord]) -> std::io::Result<()> {
-    let mut records = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|content| parse_file(&content))
-        .unwrap_or_default();
+/// Returns an IO error when the file cannot be read or written, and an
+/// [`io::ErrorKind::InvalidData`] error naming the path when the file
+/// exists but does not parse — the file is then left untouched, so a
+/// hand edit or a merge-conflict marker never costs the records around it.
+pub fn merge_into_file(path: &Path, new_records: &[BenchRecord]) -> io::Result<()> {
+    let mut records = match std::fs::read_to_string(path) {
+        Ok(content) => parse_file(&content).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} is not a bench record file (one record per line); fix or remove it",
+                    path.display()
+                ),
+            )
+        })?,
+        Err(err) if err.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(err) => return Err(err),
+    };
     for new in new_records {
         match records.iter_mut().find(|r| r.key() == new.key()) {
             Some(existing) => *existing = new.clone(),
@@ -161,14 +175,14 @@ pub fn merge_into_file(path: &Path, new_records: &[BenchRecord]) -> std::io::Res
     std::fs::write(path, render_file(&records))
 }
 
-/// The bench JSON output path: `SEGHDC_BENCH_JSON` when set, otherwise
-/// `BENCH_kernels.json` in the bench crate (the committed location —
-/// `cargo bench` runs with the package directory as its working
-/// directory).
-pub fn default_path() -> std::path::PathBuf {
+/// The path a bench run writes its records to: `SEGHDC_BENCH_JSON` when
+/// set, otherwise `file_name` (e.g. `BENCH_kernels.json`) in this crate's
+/// directory, where the committed files live, whatever the working
+/// directory.
+pub fn path_for(file_name: &str) -> PathBuf {
     std::env::var_os("SEGHDC_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_kernels.json"))
+        .map(PathBuf::from)
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join(file_name))
 }
 
 /// Median wall-clock nanoseconds per operation: one untimed warm-up, then
@@ -280,6 +294,35 @@ mod tests {
         let scalar = merged.iter().find(|r| r.isa == "scalar").unwrap();
         assert_eq!(scalar.ns_per_op, 20.0);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn merge_refuses_an_unparsable_file_and_leaves_it_untouched() {
+        let dir = std::env::temp_dir().join(format!("bench_json_garbage_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_kernels.json");
+        let garbage = "[\n<<<<<<< HEAD\n{\"op\":\"a\",\"isa\":\"b\",\"dim\":1,\"k\":1,\"ns_per_op\":1.0}\n]\n";
+        std::fs::write(&path, garbage).unwrap();
+
+        let err = merge_into_file(&path, &[record("op", "scalar", 64, 1, 10.0)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("BENCH_kernels.json"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), garbage);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn committed_record_files_parse_with_unique_keys() {
+        for name in ["BENCH_kernels.json", "BENCH_server.json"] {
+            let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
+            let content = std::fs::read_to_string(&path).unwrap();
+            let records = parse_file(&content).unwrap_or_else(|| panic!("{name} does not parse"));
+            assert!(!records.is_empty(), "{name} has no records");
+            let mut keys: Vec<_> = records.iter().map(BenchRecord::key).collect();
+            keys.sort();
+            keys.dedup();
+            assert_eq!(keys.len(), records.len(), "{name} repeats a key");
+        }
     }
 
     #[test]

@@ -63,12 +63,11 @@
 //! least one progress frame streamed and that the over-deadline run was
 //! cancelled mid-flight (the `cancelled_mid_run` stats counter moved).
 
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use imaging::{DynamicImage, GrayImage};
 use seghdc::SegHdcConfig;
-use seghdc_bench::bench_json::{merge_into_file, BenchRecord};
+use seghdc_bench::bench_json::{self, BenchRecord};
 use seghdc_server::{
     serve, RequestMode, ResponseBody, SegClient, ServerConfig, WireSegmentRequest, WireStatus,
 };
@@ -306,11 +305,7 @@ fn batch_burst(quick: bool) {
             ns_per_op: 1e9 / fused_rps,
         },
     ];
-    let path = std::env::var_os("SEGHDC_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_server.json"));
-    merge_into_file(&path, &records).expect("write bench records");
-    println!("recorded {} records to {}", records.len(), path.display());
+    write_records(&records);
 }
 
 /// Dimension of the long-tiled-job config: big hypervectors and many
@@ -438,10 +433,13 @@ fn progress_mode(quick: bool) {
             ns_per_op: cancel_latency_ns as f64,
         },
     ];
-    let path = std::env::var_os("SEGHDC_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_server.json"));
-    merge_into_file(&path, &records).expect("write bench records");
+    write_records(&records);
+}
+
+/// Merges `records` into `BENCH_server.json` (or `SEGHDC_BENCH_JSON`).
+fn write_records(records: &[BenchRecord]) {
+    let path = bench_json::path_for("BENCH_server.json");
+    bench_json::merge_into_file(&path, records).expect("write bench records");
     println!("recorded {} records to {}", records.len(), path.display());
 }
 
@@ -550,11 +548,7 @@ fn snapshot_warm(quick: bool) {
             ns_per_op: warm_req_ns,
         },
     ];
-    let path = std::env::var_os("SEGHDC_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_server.json"));
-    merge_into_file(&path, &records).expect("write bench records");
-    println!("recorded {} records to {}", records.len(), path.display());
+    write_records(&records);
 }
 
 fn main() {
@@ -683,9 +677,5 @@ fn main() {
             ns_per_op: p99 as f64,
         },
     ];
-    let path = std::env::var_os("SEGHDC_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_server.json"));
-    merge_into_file(&path, &records).expect("write bench records");
-    println!("recorded {} records to {}", records.len(), path.display());
+    write_records(&records);
 }

@@ -6,8 +6,7 @@
 //! table/figure. By default the harnesses run a **scaled** workload (smaller
 //! images, fewer samples and a lower hypervector dimension) so the whole
 //! suite finishes in minutes on a laptop; pass `--full` to run at the
-//! paper's original scale. `EXPERIMENTS.md` records both the paper values
-//! and the values measured with the scaled defaults.
+//! paper's original scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,9 +14,9 @@
 //! * [`seghdc_server`] — framed TCP service front-end over the engine.
 //! * [`edge_device`] — the Raspberry Pi 4 cost model.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-versus-measured comparison of every table
-//! and figure.
+//! See `README.md` for a tour, and the `table*`/`figure*` binaries of
+//! `crates/bench` for the reproduction of every table and figure of the
+//! paper.
 //!
 //! # Example
 //!
