@@ -145,38 +145,6 @@ impl Accumulator {
         self.items = 0;
     }
 
-    /// Reshapes the accumulator in place to dimension `dim`, zeroing every
-    /// count.
-    ///
-    /// Like [`crate::HvMatrix::reset`], the backing allocations are reused
-    /// whenever their capacity suffices, which makes a set of accumulators
-    /// usable as bounded scratch across a sequence of differently-sized
-    /// batches (the tiled segmentation arena resets its per-cluster bundle
-    /// accumulators once per tile instead of allocating per tile).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::ZeroDimension`] if `dim == 0`.
-    pub fn reset(&mut self, dim: usize) -> Result<()> {
-        if dim == 0 {
-            return Err(HdcError::ZeroDimension);
-        }
-        self.dim = dim;
-        self.words_per_plane = dim.div_ceil(64);
-        self.planes.clear();
-        self.carry.clear();
-        self.carry.resize(self.words_per_plane, 0);
-        self.items = 0;
-        Ok(())
-    }
-
-    /// Heap bytes held by the plane and carry buffers (their capacity, not
-    /// their length) — the scratch-accounting companion of
-    /// [`crate::HvMatrix::capacity_bytes`].
-    pub fn heap_bytes(&self) -> usize {
-        (self.planes.capacity() + self.carry.capacity()) * std::mem::size_of::<u64>()
-    }
-
     /// Ripple-carry-adds one packed binary vector into the counter planes.
     fn add_words(&mut self, words: &[u64], kernels: &dyn Kernels) {
         self.carry.copy_from_slice(words);
@@ -189,7 +157,8 @@ impl Accumulator {
     }
 
     /// Carry-adds one packed bit plane at significance `level` (counts get
-    /// `2^level` wherever `bits` is set). Used by [`merge`](Self::merge).
+    /// `2^level` wherever `bits` is set). Used by
+    /// [`merge_with`](Self::merge_with).
     fn add_plane_at_level(&mut self, level: usize, bits: &[u64], kernels: &dyn Kernels) {
         if bits.iter().all(|&word| word == 0) {
             return;
@@ -270,13 +239,23 @@ impl Accumulator {
     ///
     /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
     pub fn merge(&mut self, other: &Self) -> Result<()> {
+        self.merge_with(other, kernels::auto())
+    }
+
+    /// [`merge`](Self::merge) through an explicit [`Kernels`] selection —
+    /// the parallel K-Means update step merges its per-chunk partial
+    /// bundles through its backend kernels here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
+    pub fn merge_with(&mut self, other: &Self, kernels: &dyn Kernels) -> Result<()> {
         if other.dim != self.dim {
             return Err(HdcError::DimensionMismatch {
                 left: self.dim,
                 right: other.dim,
             });
         }
-        let kernels = kernels::auto();
         for level in 0..other.plane_count() {
             let start = level * other.words_per_plane;
             let plane = &other.planes[start..start + other.words_per_plane];
@@ -1095,6 +1074,32 @@ mod tests {
     }
 
     #[test]
+    fn merge_with_equals_one_accumulator_on_every_isa() {
+        let mut rng = HdcRng::seed_from(45);
+        // 1000 is not a multiple of 64; the partials hold 5 and 32 rows, so
+        // they have different plane counts.
+        let hvs: Vec<BinaryHypervector> = (0..37)
+            .map(|_| BinaryHypervector::random(1000, &mut rng))
+            .collect();
+        for kernels in kernels::available() {
+            let bundle = |rows: &[BinaryHypervector]| {
+                let mut acc = Accumulator::zeros(1000).unwrap();
+                for hv in rows {
+                    acc.add_with(hv, kernels).unwrap();
+                }
+                acc
+            };
+            let all = bundle(&hvs);
+            let (shallow, deep) = (bundle(&hvs[..5]), bundle(&hvs[5..]));
+            for (mut into, from) in [(shallow.clone(), &deep), (deep.clone(), &shallow)] {
+                into.merge_with(from, kernels).unwrap();
+                assert_eq!(into.planes, all.planes, "{}", kernels.name());
+                assert_eq!(into.items(), all.items(), "{}", kernels.name());
+            }
+        }
+    }
+
+    #[test]
     fn majority_of_identical_vectors_is_that_vector() {
         let mut rng = HdcRng::seed_from(5);
         let hv = BinaryHypervector::random(300, &mut rng);
@@ -1465,27 +1470,5 @@ mod tests {
             }
             assert_eq!(expected_start, group.len());
         }
-    }
-
-    #[test]
-    fn reset_reshapes_and_reuses_the_allocation() {
-        let hv = BinaryHypervector::ones(1024).unwrap();
-        let mut acc = Accumulator::from_binary(&hv);
-        let bytes_before = acc.heap_bytes();
-        // One plane plus the carry scratch: two 16-word buffers.
-        assert!(bytes_before >= 2 * 16 * 8);
-        acc.reset(512).unwrap();
-        assert_eq!(acc.dim(), 512);
-        assert_eq!(acc.items(), 0);
-        assert_eq!(acc.plane_count(), 0);
-        assert!(acc.counts().iter().all(|&c| c == 0));
-        // Shrinking reuses the buffers; the capacity (and thus heap_bytes)
-        // never shrinks.
-        assert_eq!(acc.heap_bytes(), bytes_before);
-        assert!(acc.reset(0).is_err());
-        // The reshaped accumulator still adds correctly.
-        let small = BinaryHypervector::ones(512).unwrap();
-        acc.add(&small).unwrap();
-        assert_eq!(acc.counts(), vec![1u32; 512]);
     }
 }

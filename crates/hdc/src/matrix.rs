@@ -2,6 +2,9 @@ use crate::kernels::{self, Kernels};
 use crate::{BinaryHypervector, HdcError, Result};
 use rayon::prelude::*;
 
+/// Rows per parallel work unit of [`HvMatrix::fill_rows`].
+const FILL_BLOCK_ROWS: usize = 256;
+
 /// A batch of packed binary hypervectors in one contiguous buffer.
 ///
 /// `HvMatrix` is the structure-of-arrays companion to
@@ -197,14 +200,18 @@ impl HvMatrix {
     where
         F: Fn(usize, &mut HvRowMut<'_>) + Sync,
     {
-        let dim = self.dim;
+        let (dim, stride) = (self.dim, self.stride);
+        // One parallel unit per block of rows, not per row: the thread shim
+        // hands out one slice per unit.
         self.words
             .as_mut_slice()
-            .par_chunks_mut(self.stride)
+            .par_chunks_mut(FILL_BLOCK_ROWS * stride)
             .enumerate()
-            .for_each(|(index, words)| {
-                let mut row = HvRowMut { words, dim };
-                fill(index, &mut row);
+            .for_each(|(block, block_words)| {
+                for (i, words) in block_words.chunks_mut(stride).enumerate() {
+                    let mut row = HvRowMut { words, dim };
+                    fill(block * FILL_BLOCK_ROWS + i, &mut row);
+                }
             });
     }
 }
@@ -569,12 +576,14 @@ mod tests {
         let codebook: Vec<BinaryHypervector> = (0..7)
             .map(|_| BinaryHypervector::random(200, &mut r))
             .collect();
-        let mut m = HvMatrix::zeros(100, 200).unwrap();
+        // Crosses two block boundaries and ends in a partial block.
+        let rows = 2 * FILL_BLOCK_ROWS + 3;
+        let mut m = HvMatrix::zeros(rows, 200).unwrap();
         m.fill_rows(|i, row| {
             row.copy_from(&codebook[i % 7]).unwrap();
             row.xor_assign(&codebook[(i + 1) % 7]).unwrap();
         });
-        for i in 0..100 {
+        for i in 0..rows {
             let expected = codebook[i % 7].xor(&codebook[(i + 1) % 7]).unwrap();
             assert_eq!(m.row(i).to_hypervector(), expected, "row {i}");
         }

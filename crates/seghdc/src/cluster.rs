@@ -15,6 +15,70 @@ const ASSIGN_BLOCK_ROWS: usize = 256;
 /// products are exact integer adds, so tiling cannot change any label).
 const PLANE_CHUNK_BYTES: usize = 192 * 1024;
 
+/// Rows per parallel bundling work unit of [`bundle_rows`]. Fixed, so the
+/// set of partial bundles does not depend on the thread count (and the
+/// merged result could not either way: integer bundling is exact).
+const BUNDLE_CHUNK_ROWS: usize = 4096;
+
+/// Bundles row `i` of `pixels` into cluster `labels[i]`, for `clusters`
+/// clusters — the K-Means update step and the tiled stitcher's centroid
+/// snapshot.
+///
+/// The rows are split into fixed [`BUNDLE_CHUNK_ROWS`]-row chunks; each
+/// chunk is bundled into its own `clusters` partial accumulators in
+/// parallel, and the partials are merged in chunk order. Counts are exact
+/// integer sums and the planes canonical, so the result is identical to one
+/// serial [`Accumulator::add_row_with`] loop for every chunking and thread
+/// count. A cluster no row is labelled with comes back empty
+/// (`items() == 0`).
+///
+/// # Errors
+///
+/// Returns [`SegHdcError::InvalidConfig`] if `labels` does not hold one
+/// label per row or a label is not below `clusters`.
+pub(crate) fn bundle_rows(
+    pixels: &HvMatrix,
+    labels: &[u32],
+    clusters: usize,
+    kernels: &dyn Kernels,
+) -> Result<Vec<Accumulator>> {
+    if labels.len() != pixels.rows() {
+        return Err(SegHdcError::InvalidConfig {
+            message: format!("{} labels for {} rows", labels.len(), pixels.rows()),
+        });
+    }
+    if let Some(&label) = labels.iter().find(|&&label| label as usize >= clusters) {
+        return Err(SegHdcError::InvalidConfig {
+            message: format!("label {label} out of range for {clusters} clusters"),
+        });
+    }
+    let dim = pixels.dim();
+    // At least one chunk, so zero rows still yield `clusters` empty bundles.
+    let chunks = labels.len().div_ceil(BUNDLE_CHUNK_ROWS).max(1);
+    let partials: Vec<Vec<Accumulator>> = (0..chunks)
+        .into_par_iter()
+        .map(|chunk| {
+            let start = chunk * BUNDLE_CHUNK_ROWS;
+            let end = (start + BUNDLE_CHUNK_ROWS).min(labels.len());
+            let mut bundles = (0..clusters)
+                .map(|_| Accumulator::zeros(dim))
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            for (row, &label) in labels[start..end].iter().enumerate() {
+                bundles[label as usize].add_row_with(pixels.row(start + row), kernels)?;
+            }
+            Ok(bundles)
+        })
+        .collect::<Result<_>>()?;
+    let mut partials = partials.into_iter();
+    let mut merged = partials.next().expect("at least one chunk is bundled");
+    for partial in partials {
+        for (into, from) in merged.iter_mut().zip(&partial) {
+            into.merge_with(from, kernels)?;
+        }
+    }
+    Ok(merged)
+}
+
 /// Cosine assignment for one block of rows: accumulate every centroid dot
 /// product through the fused multi-centroid kernel (one cache-blocked run
 /// of centroid planes at a time), then pick each row's argmin with one
@@ -253,10 +317,13 @@ impl HvKmeans {
     /// hot path used by the pipeline.
     ///
     /// Compared to [`cluster`](Self::cluster) this performs **zero
-    /// per-pixel heap allocations**: the assignment step reads matrix rows
-    /// in place (in parallel across rows) and the update step bundles rows
-    /// into a reused set of accumulators. The labels are bit-identical to
-    /// the per-vector reference path for the same inputs.
+    /// per-pixel heap allocations**, and both steps run in parallel across
+    /// rows: the assignment step reads matrix rows in place, and the update
+    /// step bundles fixed row chunks into per-chunk partial accumulators
+    /// that are merged in chunk order (exact integer sums, so the result
+    /// does not depend on the thread count). No update follows the final
+    /// assignment, since nothing reads those centroids. The labels are
+    /// bit-identical to the per-vector reference path for the same inputs.
     ///
     /// `intensities` must hold one scalar intensity per pixel (used only
     /// for centroid initialisation) in the same row order as `pixels`.
@@ -274,8 +341,10 @@ impl HvKmeans {
     /// [`Kernels`] selection — the variant an execution backend threads its
     /// kernels into. Every word-level operation of the iteration (bit-sliced
     /// centroid dot products in the assignment step, vertical-counter carry
-    /// adds in the update step, Hamming distances in the ablation metric)
-    /// dispatches through `kernels`.
+    /// adds and partial-bundle merges in the parallel update step, Hamming
+    /// distances in the ablation metric) dispatches through `kernels`. As in
+    /// [`cluster_matrix`](Self::cluster_matrix), the update step is skipped
+    /// after the final assignment.
     ///
     /// Kernels are bit-exact with each other (see the
     /// [`hdc::kernels`] contract), so the labels are byte-identical for
@@ -303,11 +372,6 @@ impl HvKmeans {
             accumulator.add_row_with(pixels.row(index), kernels)?;
             centroids.push(accumulator);
         }
-        // Scratch accumulators reused (cleared, not reallocated) by every
-        // update step.
-        let mut scratch: Vec<Accumulator> = (0..self.clusters)
-            .map(|_| Accumulator::zeros(dim))
-            .collect::<std::result::Result<_, _>>()?;
 
         let mut labels = vec![0u32; pixel_count];
         let mut snapshots = Vec::new();
@@ -389,22 +453,22 @@ impl HvKmeans {
                 snapshots.push(labels.clone());
             }
 
-            // Update step: bundle each cluster's rows into the reused
-            // scratch accumulators.
-            for accumulator in &mut scratch {
-                accumulator.clear();
+            // No centroid is read after the final assignment, so the last
+            // iteration stops before the update.
+            if iterations_run == self.iterations {
+                break;
             }
-            for (index, &label) in labels.iter().enumerate() {
-                scratch[label as usize].add_row_with(pixels.row(index), kernels)?;
-            }
+
+            // Update step: bundle each cluster's rows in parallel.
+            let mut updated = bundle_rows(pixels, &labels, self.clusters, kernels)?;
             // Empty clusters keep their previous centroid so they can win
             // pixels back in a later iteration.
-            for (k, accumulator) in scratch.iter_mut().enumerate() {
+            for (k, accumulator) in updated.iter_mut().enumerate() {
                 if accumulator.items() == 0 {
-                    accumulator.clone_from(&centroids[k]);
+                    std::mem::swap(accumulator, &mut centroids[k]);
                 }
             }
-            std::mem::swap(&mut centroids, &mut scratch);
+            centroids = updated;
         }
 
         let mut cluster_sizes = vec![0usize; self.clusters];
@@ -618,25 +682,98 @@ mod tests {
         assert!(kmeans.cluster_matrix(&empty, &[]).is_err());
     }
 
+    /// Row counts around the update step's chunk boundaries.
+    const CHUNK_EDGE_ROWS: [usize; 4] = [
+        BUNDLE_CHUNK_ROWS - 1,
+        BUNDLE_CHUNK_ROWS,
+        BUNDLE_CHUNK_ROWS + 1,
+        2 * BUNDLE_CHUNK_ROWS + 257,
+    ];
+
+    /// `rows` noisy copies of two random centres (first half, second half)
+    /// with ramped intensities.
+    fn two_groups(
+        rows: usize,
+        dim: usize,
+        noise_bits: usize,
+        rng: &mut HdcRng,
+    ) -> (Vec<BinaryHypervector>, Vec<u8>) {
+        let centre_a = BinaryHypervector::random(dim, rng);
+        let centre_b = BinaryHypervector::random(dim, rng);
+        let mut pixels = noisy_copies(&centre_a, rows / 2, noise_bits, rng);
+        pixels.extend(noisy_copies(&centre_b, rows - rows / 2, noise_bits, rng));
+        let intensities = (0..rows).map(|i| (i * 256 / rows) as u8).collect();
+        (pixels, intensities)
+    }
+
     #[test]
     fn matrix_and_vector_paths_agree_bitwise() {
         let mut rng = HdcRng::seed_from(77);
-        let centre_a = BinaryHypervector::random(1000, &mut rng); // not a multiple of 64
-        let centre_b = BinaryHypervector::random(1000, &mut rng);
-        let mut pixels = noisy_copies(&centre_a, 15, 60, &mut rng);
-        pixels.extend(noisy_copies(&centre_b, 15, 60, &mut rng));
-        let intensities: Vec<u8> = (0..30).map(|i| (i * 8) as u8).collect();
-        let matrix = HvMatrix::from_vectors(&pixels).unwrap();
-
-        for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
-            let kmeans = HvKmeans::new(3, 5, metric, true).unwrap();
-            let by_vector = kmeans.cluster(&pixels, &intensities).unwrap();
-            let by_matrix = kmeans.cluster_matrix(&matrix, &intensities).unwrap();
-            assert_eq!(by_vector.labels, by_matrix.labels, "{metric:?}");
-            assert_eq!(by_vector.snapshots, by_matrix.snapshots, "{metric:?}");
-            assert_eq!(by_vector.cluster_sizes, by_matrix.cluster_sizes);
-            assert_eq!(by_vector.iterations_run, by_matrix.iterations_run);
+        // 1000 and 200 are not multiples of 64; the larger inputs put the
+        // update step's chunk boundaries at and around every edge case.
+        let mut inputs = vec![two_groups(30, 1000, 60, &mut rng)];
+        for rows in CHUNK_EDGE_ROWS {
+            inputs.push(two_groups(rows, 200, 20, &mut rng));
         }
+        for (pixels, intensities) in &inputs {
+            let matrix = HvMatrix::from_vectors(pixels).unwrap();
+            for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
+                let kmeans = HvKmeans::new(3, 5, metric, true).unwrap();
+                let by_vector = kmeans.cluster(pixels, intensities).unwrap();
+                let by_matrix = kmeans.cluster_matrix(&matrix, intensities).unwrap();
+                let case = format!("{metric:?}, {} rows", pixels.len());
+                assert_eq!(by_vector.labels, by_matrix.labels, "{case}");
+                assert_eq!(by_vector.snapshots, by_matrix.snapshots, "{case}");
+                assert_eq!(by_vector.cluster_sizes, by_matrix.cluster_sizes, "{case}");
+                assert_eq!(by_vector.iterations_run, by_matrix.iterations_run);
+            }
+        }
+    }
+
+    #[test]
+    fn bundle_rows_equals_a_serial_bundling_loop() {
+        let mut rng = HdcRng::seed_from(79);
+        let kernels = hdc::kernels::auto();
+        for rows in CHUNK_EDGE_ROWS {
+            let pixels: Vec<BinaryHypervector> = (0..rows)
+                .map(|_| BinaryHypervector::random(200, &mut rng))
+                .collect();
+            let matrix = HvMatrix::from_vectors(&pixels).unwrap();
+            // Three clusters; the second label set never uses cluster 1.
+            let label_sets: [Vec<u32>; 2] = [
+                (0..rows).map(|i| (i % 3) as u32).collect(),
+                (0..rows).map(|i| if i % 5 == 0 { 2 } else { 0 }).collect(),
+            ];
+            for labels in &label_sets {
+                let mut serial: Vec<Accumulator> =
+                    (0..3).map(|_| Accumulator::zeros(200).unwrap()).collect();
+                for (row, &label) in labels.iter().enumerate() {
+                    serial[label as usize]
+                        .add_row_with(matrix.row(row), kernels)
+                        .unwrap();
+                }
+                let parallel = bundle_rows(&matrix, labels, 3, kernels).unwrap();
+                assert_eq!(parallel, serial, "{rows} rows");
+            }
+            assert_eq!(
+                bundle_rows(&matrix, &label_sets[1], 3, kernels).unwrap()[1].items(),
+                0
+            );
+        }
+    }
+
+    #[test]
+    fn bundle_rows_rejects_mismatched_labels() {
+        let mut rng = HdcRng::seed_from(80);
+        let pixels = vec![BinaryHypervector::random(128, &mut rng); 4];
+        let matrix = HvMatrix::from_vectors(&pixels).unwrap();
+        let kernels = hdc::kernels::auto();
+        assert!(bundle_rows(&matrix, &[0, 1, 0], 2, kernels).is_err());
+        assert!(bundle_rows(&matrix, &[0, 1, 2, 0], 2, kernels).is_err());
+        let empty = HvMatrix::zeros(0, 128).unwrap();
+        let bundles = bundle_rows(&empty, &[], 2, kernels).unwrap();
+        assert_eq!(bundles.len(), 2);
+        assert!(bundles.iter().all(|b| b.items() == 0));
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //!    rows are bit-identical to the whole-image rows) and clustered with the
 //!    same revised K-Means as the whole-image path.
 //! 3. Interior labels are written to the output map under a provisional
-//!    per-tile label id; per-tile cluster centroids are snapshotted as
-//!    [`BitSlicedCounts`], and pixels where a tile's halo overlaps an
-//!    already-labelled neighbour interior record co-occurrence **votes**.
-//! 4. A stitching pass matches the centroids of adjacent tiles by
+//!    per-tile label id. Each tile's cluster centroids are bundled from its
+//!    rows by the clusterer's parallel update step (`bundle_rows`, the one
+//!    bundling loop of the crate) and snapshotted as [`BitSlicedCounts`].
+//!    Pixels where a tile's halo overlaps an already-labelled neighbour
+//!    interior record co-occurrence **votes**.
+//! 4. A stitching pass matches those centroids of adjacent tiles by
 //!    bit-sliced cosine similarity — with the halo-overlap majority vote as
 //!    the tie-breaker when two candidate matches are nearly as similar —
 //!    and merges matched labels with a union-find, producing the final
@@ -29,9 +31,10 @@
 //!    stitched label instead of being absorbed into the least-dissimilar
 //!    neighbour group.
 
+use crate::cluster::bundle_rows;
 use crate::observe::ImageObserver;
 use crate::{ExecBackend, HvKmeans, PixelEncoder, Result, SegHdcConfig, SegHdcError};
-use hdc::{Accumulator, BitSlicedCounts, HvMatrix};
+use hdc::{BitSlicedCounts, HvMatrix};
 use imaging::{ImageView, LabelMap, TileGrid};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -132,7 +135,6 @@ impl TileConfig {
 pub(crate) struct TileArena {
     pub(crate) matrix: HvMatrix,
     pub(crate) intensities: Vec<u8>,
-    pub(crate) bundles: Vec<Accumulator>,
     peak_matrix_bytes: usize,
 }
 
@@ -143,7 +145,6 @@ impl TileArena {
         Self {
             matrix: HvMatrix::zeros(0, 1).expect("dimension 1 is valid"),
             intensities: Vec::new(),
-            bundles: Vec::new(),
             peak_matrix_bytes: 0,
         }
     }
@@ -173,20 +174,6 @@ impl TileArena {
         self.matrix.reset(rows, dim)?;
         self.peak_matrix_bytes = self.peak_matrix_bytes.max(self.matrix.capacity_bytes());
         self.intensities.clear();
-        Ok(())
-    }
-
-    /// Shapes the arena's per-cluster bundle accumulators to `clusters`
-    /// accumulators of dimension `dim`, zeroed, reusing their allocations
-    /// (the centroid-snapshot scratch of the stitching pass).
-    pub(crate) fn prepare_bundles(&mut self, clusters: usize, dim: usize) -> Result<()> {
-        while self.bundles.len() < clusters {
-            self.bundles.push(Accumulator::zeros(dim)?);
-        }
-        self.bundles.truncate(clusters);
-        for bundle in &mut self.bundles {
-            bundle.reset(dim)?;
-        }
         Ok(())
     }
 }
@@ -328,15 +315,9 @@ pub(crate) fn segment_streaming_with(
                 .labels
         };
 
-        // Bundle each local cluster's rows into centroids for stitching,
-        // reusing the arena's accumulators across tiles.
-        arena.prepare_bundles(clusters, config.dimension)?;
-        for (row, &label) in labels.iter().enumerate() {
-            arena.bundles[label as usize].add_row_with(arena.matrix.row(row), host_kernels)?;
-        }
+        // Bundle each local cluster's rows into centroids for stitching.
         centroids.push(
-            arena
-                .bundles
+            bundle_rows(&arena.matrix, &labels, clusters, host_kernels)?
                 .iter()
                 .map(|b| (b.items() > 0).then(|| b.to_bit_sliced_with(host_kernels)))
                 .collect(),
